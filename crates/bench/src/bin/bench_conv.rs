@@ -1,7 +1,7 @@
 //! Produces `BENCH_conv.json` — the committed performance trajectory of the
 //! convolution engine (naive vs im2col+GEMM), the sparse-aware suffix
 //! (skip-zero vs densify-then-dense), the RFBME early-exit fast path, and
-//! the serial vs pipelined AMC executors.
+//! key vs predicted frames through the serial AMC executor.
 //!
 //! Run from the workspace root:
 //!

@@ -22,10 +22,11 @@
 //!   (≤ ~10% overhead), on any host, because one thread vs one thread
 //!   divides the machine out.
 //! - **threaded scaling** (`serve_threaded_over_serial`): the same traffic
-//!   against a multi-worker engine. Advisory per the PR-3 rule — its value
-//!   is a property of the measuring host's core topology (on the 1-CPU CI
-//!   container it sits *below* 1.0, since threads only add scheduling
-//!   overhead there).
+//!   against an engine with one worker per available CPU
+//!   (`std::thread::available_parallelism`), so the pool never
+//!   oversubscribes the host. Advisory (see `TrackedRatio`) — its value is a
+//!   property of the measuring host's core count (on a 1-CPU host the
+//!   "threaded" engine has one worker and the ratio sits near 1.0).
 
 use crate::trajectory::{Entry, Mode};
 use eva2_cnn::zoo;
@@ -59,13 +60,15 @@ pub struct ServePlan {
     pub ramp_cap: usize,
     /// Stream count used for the overhead/scaling ratio measurements.
     pub ratio_streams: usize,
-    /// Worker count for the threaded-scaling ratio.
+    /// Worker count for the threaded-scaling ratio: the host's available
+    /// parallelism in [`ServePlan::for_mode`].
     pub threaded_workers: usize,
 }
 
 impl ServePlan {
     /// The plan for a mode: Full = committed trajectory, Quick = CI gate.
     pub fn for_mode(mode: Mode) -> Self {
+        let threaded_workers = std::thread::available_parallelism().map_or(1, usize::from);
         match mode {
             Mode::Full => Self {
                 passes: 7,
@@ -73,7 +76,7 @@ impl ServePlan {
                 ramp_start: 16,
                 ramp_cap: 1024,
                 ratio_streams: 8,
-                threaded_workers: 4,
+                threaded_workers,
             },
             Mode::Quick => Self {
                 passes: 5,
@@ -81,7 +84,7 @@ impl ServePlan {
                 ramp_start: 16,
                 ramp_cap: 256,
                 ratio_streams: 4,
-                threaded_workers: 4,
+                threaded_workers,
             },
         }
     }

@@ -13,7 +13,6 @@
 use eva2_cnn::layer::{Conv2d, Layer};
 use eva2_cnn::zoo;
 use eva2_core::executor::{AmcConfig, AmcExecutor};
-use eva2_core::pipeline::PipelinedExecutor;
 use eva2_core::policy::PolicyConfig;
 use eva2_core::serve::Engine;
 use eva2_core::sparse::RleActivation;
@@ -104,8 +103,6 @@ pub struct Measurements {
     /// (warp → dense tensor → `from_dense` → suffix) over the fused
     /// warp→sparse path the serving engine runs.
     pub predicted_frame_fused_over_dense: f64,
-    /// Predicted frame: serial executor over the streaming pipeline.
-    pub predicted_serial_over_pipelined: f64,
     /// Audited heap footprint (bytes) of one serving session holding key
     /// state for the FasterM analogue — the figure the serving engine's
     /// memory budgets ([`EngineLimits::max_session_bytes`] /
@@ -125,11 +122,11 @@ pub struct TrackedRatio {
     pub value: f64,
     /// Host-marginal ratios are *advisory*: `bench_gate` warns on
     /// regression instead of failing unless `EVA2_BENCH_STRICT=1` is set.
-    /// Two classes qualify: machine-topology-dependent ratios (serial vs
-    /// pipelined executor — the committed value depends on the measuring
-    /// host's core count), and noise-marginal ratios whose true value sits
-    /// near 1.0 (the 50%-sparsity conv-head ratio), where a 30% band is
-    /// routinely crossed by container noise alone. In-process
+    /// Two classes qualify: machine-dependent figures (the session
+    /// footprint, whose allocator round-up varies by toolchain), and
+    /// noise-marginal ratios whose true value sits near 1.0 (the
+    /// 50%-sparsity conv-head ratio), where a 30% band is routinely crossed
+    /// by container noise alone. In-process
     /// algorithm-vs-algorithm ratios with real separation divide out the
     /// host and stay strict.
     pub advisory: bool,
@@ -428,7 +425,7 @@ pub fn measure(mode: Mode) -> Measurements {
     };
 
     // ------------------------------------------------------------------
-    // End-to-end AMC frames (FasterM analogue), serial and pipelined.
+    // End-to-end AMC frames (FasterM analogue) through the serial executor.
     // ------------------------------------------------------------------
     let always_key = AmcConfig {
         policy: PolicyConfig::AlwaysKey,
@@ -454,17 +451,6 @@ pub fn measure(mode: Mode) -> Measurements {
     });
     record("pipeline/predicted_frame/fasterm", pred_ns);
     println!("key/predicted frame ratio: {:.2}x", key_ns / pred_ns);
-
-    // Steady-state streaming throughput: each push returns the previous
-    // frame's result while the worker estimates the next frame's motion.
-    let mut pipe = PipelinedExecutor::new(AmcExecutor::try_new(&z.network, never_key).unwrap());
-    pipe.push(&f0);
-    let pred_pipe_ns = time_ns(mode, || {
-        black_box(pipe.push(black_box(&f1)));
-    });
-    record("pipeline/predicted_frame/pipelined", pred_pipe_ns);
-    let predicted_serial_over_pipelined = pred_ns / pred_pipe_ns;
-    println!("predicted frame serial/pipelined: {predicted_serial_over_pipelined:.2}x");
 
     // ------------------------------------------------------------------
     // Serving-session memory: the audited footprint one stream holds in
@@ -497,7 +483,6 @@ pub fn measure(mode: Mode) -> Measurements {
         rfbme_reference_over_fast,
         rfbme_twolevel_over_onelevel,
         predicted_frame_fused_over_dense,
-        predicted_serial_over_pipelined,
         session_memory_footprint,
     }
 }
@@ -533,13 +518,12 @@ impl Measurements {
         }
         let _ = write!(
             body,
-            "  }},\n  \"convhead_sparse_over_densify_50pct\": {:.2},\n  \"key_over_predicted_frame\": {:.2},\n  \"rfbme_reference_over_fast\": {:.2},\n  \"rfbme_twolevel_over_onelevel\": {:.2},\n  \"predicted_frame_fused_over_dense\": {:.2},\n  \"predicted_serial_over_pipelined\": {:.2},\n  \"session_memory_footprint\": {:.0}\n}}\n",
+            "  }},\n  \"convhead_sparse_over_densify_50pct\": {:.2},\n  \"key_over_predicted_frame\": {:.2},\n  \"rfbme_reference_over_fast\": {:.2},\n  \"rfbme_twolevel_over_onelevel\": {:.2},\n  \"predicted_frame_fused_over_dense\": {:.2},\n  \"session_memory_footprint\": {:.0}\n}}\n",
             self.convhead_sparse_over_densify,
             self.key_over_predicted,
             self.rfbme_reference_over_fast,
             self.rfbme_twolevel_over_onelevel,
             self.predicted_frame_fused_over_dense,
-            self.predicted_serial_over_pipelined,
             self.session_memory_footprint
         );
         body
@@ -600,15 +584,6 @@ impl Measurements {
             "predicted_frame_fused_over_dense",
             self.predicted_frame_fused_over_dense,
         ));
-        // Serial-vs-pipelined pits one thread against two: its committed
-        // value is a property of the measuring machine's core count, not of
-        // the code, so a multi-core↔single-core CI mismatch would trip the
-        // tolerance spuriously.
-        v.push(TrackedRatio {
-            key: "predicted_serial_over_pipelined".to_string(),
-            value: self.predicted_serial_over_pipelined,
-            advisory: true,
-        });
         // A capacity figure, not a speedup: `Vec` growth policy and
         // allocator round-up differ across toolchains, so byte-for-byte
         // bands would flake on a toolchain bump. Advisory keeps bloat
@@ -676,7 +651,6 @@ mod tests {
             rfbme_reference_over_fast: 6.8,
             rfbme_twolevel_over_onelevel: 1.8,
             predicted_frame_fused_over_dense: 1.4,
-            predicted_serial_over_pipelined: 1.15,
             session_memory_footprint: 123456.0,
         };
         let json = m.to_json();
@@ -705,7 +679,6 @@ mod tests {
             rfbme_reference_over_fast: 1.0,
             rfbme_twolevel_over_onelevel: 1.0,
             predicted_frame_fused_over_dense: 1.0,
-            predicted_serial_over_pipelined: 1.0,
             session_memory_footprint: 1.0,
         };
         let advisory: Vec<String> = m
@@ -719,7 +692,6 @@ mod tests {
             vec![
                 "batched_prefix_over_single",
                 "convhead_sparse_over_densify_50pct",
-                "predicted_serial_over_pipelined",
                 "session_memory_footprint"
             ]
         );

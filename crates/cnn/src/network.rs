@@ -23,9 +23,9 @@ pub struct Network {
 }
 
 // `Layer: Send + Sync` makes networks shareable by reference across
-// threads: the pipelined executor keeps `&Network` on the main thread while
-// a worker estimates motion, and batched executors can fan frames out over
-// scoped threads. Enforce the property where the type is defined.
+// threads: the serving engine's worker pool reads one `Arc<Network>` from
+// scoped threads while it fans key-frame prefixes and per-stream suffixes
+// out. Enforce the property where the type is defined.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Network>();

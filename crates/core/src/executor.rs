@@ -1,20 +1,29 @@
-//! The AMC execution pipeline (Fig 1 / Fig 6 of the paper).
+//! AMC configuration, per-frame results, and the serial oracle.
 //!
-//! [`AmcExecutor`] plays the role of the EVA² unit in front of the layer
-//! accelerators: it holds the two pixel buffers (the stored key frame and
-//! the current frame), runs RFBME, consults the key-frame choice module, and
-//! either (a) forwards pixels to the full CNN and refreshes the sparse key
+//! [`AmcConfig`] describes how a stream runs (target layer, warp mode,
+//! RFBME window, key-frame policy, datapath); [`AmcFrameResult`] and
+//! [`ExecStats`] report what a frame cost. Frames execute through the
+//! serving [`Engine`](crate::serve::Engine), which plays the role of the
+//! EVA² unit in front of the layer accelerators (Fig 1 / Fig 6): it holds
+//! each stream's two pixel buffers (the stored key frame and the current
+//! frame), runs RFBME, consults the key-frame choice module, and either
+//! (a) forwards pixels to the full CNN and refreshes the sparse key
 //! activation buffer, or (b) warps the stored activation and invokes only
 //! the CNN suffix.
+//!
+//! [`AmcExecutor`] runs that same state machine one frame at a time on the
+//! calling thread, with no admission control, batching, or worker pool.
+//! It is kept as the serial oracle: the serving suites hold the engine
+//! bit-identical to it, and the serving bench measures the engine's
+//! bookkeeping overhead against it. Serving callers use the engine.
 
 use crate::error::AmcError;
-use crate::policy::{FrameKind, FrameMetrics, PolicyConfig};
+use crate::policy::{FrameMetrics, PolicyConfig};
 use crate::serve::SessionCore;
-use crate::sparse::RleActivation;
 use crate::target::TargetSelection;
 use crate::warp::WarpStats;
 use eva2_cnn::network::Network;
-use eva2_motion::rfbme::{RfGeometry, Rfbme, RfbmeResult, SearchParams};
+use eva2_motion::rfbme::{RfGeometry, SearchParams};
 use eva2_tensor::{GemmScratch, GrayImage, Tensor3};
 use serde::{Deserialize, Serialize};
 
@@ -38,7 +47,8 @@ impl Default for WarpMode {
     }
 }
 
-/// Configuration for an [`AmcExecutor`].
+/// Configuration of one AMC stream: an [`Engine`](crate::serve::Engine)'s
+/// session default, a session's own override, or an [`AmcExecutor`]'s.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AmcConfig {
     /// Which layer ends the CNN prefix.
@@ -355,14 +365,18 @@ impl ExecStats {
     }
 }
 
-/// The AMC executor: EVA² in front of a CNN, serving one stream.
+/// The serial AMC oracle: one stream, one frame at a time, on the calling
+/// thread.
 ///
-/// This is a thin single-stream wrapper over the same per-session state
-/// machine the serving engine runs (see [`crate::serve`]): one
-/// [`SessionCore`] plus a borrowed network and a private GEMM scratch.
-/// Outputs, decisions, and statistics are bit-identical to a one-session
-/// [`crate::serve::Engine`] — multi-stream callers should use the engine
-/// directly and gain cross-stream key-frame batching.
+/// A thin wrapper over the per-session state machine the serving engine
+/// runs (see [`crate::serve`]): one `SessionCore` plus a borrowed network
+/// and a private GEMM scratch. Outputs, decisions, and statistics are
+/// bit-identical to a one-session [`crate::serve::Engine`] at any worker
+/// count. It exists as the reference the serving suites
+/// (`serve_interleaved`, `soak_chaos`) and the serving bench's
+/// single-worker overhead ratio compare the engine against; serving
+/// callers use [`Engine`](crate::serve::Engine) and
+/// [`StreamSession`](crate::serve::StreamSession).
 pub struct AmcExecutor<'n> {
     net: &'n Network,
     core: SessionCore,
@@ -386,10 +400,6 @@ impl<'n> std::fmt::Debug for AmcExecutor<'n> {
 
 impl<'n> AmcExecutor<'n> {
     /// Creates an executor over `net` with the given configuration.
-    ///
-    /// (The panicking `AmcExecutor::new` constructor is gone; construct
-    /// configurations through [`AmcConfig::builder`] and handle the typed
-    /// error here.)
     ///
     /// # Errors
     ///
@@ -424,32 +434,9 @@ impl<'n> AmcExecutor<'n> {
         self.core.prefix_macs()
     }
 
-    /// MACs of a full CNN pass.
-    pub fn total_macs(&self) -> u64 {
-        self.core.total_macs()
-    }
-
     /// Drops stored state, forcing the next frame to be a key frame.
     pub fn reset(&mut self) {
         self.core.reset()
-    }
-
-    /// The compressed key activation currently buffered, if any — the
-    /// contents of the hardware's sparse key-frame activation buffer.
-    pub fn key_activation(&self) -> Option<&RleActivation> {
-        self.core.key_activation()
-    }
-
-    /// The stored key-frame pixel buffer, if any — the reference input
-    /// every RFBME estimate is computed against.
-    pub fn key_image(&self) -> Option<&GrayImage> {
-        self.core.key_image()
-    }
-
-    /// The RFBME estimator this executor runs (copied by the pipelined
-    /// executor's worker thread so both compute bit-identical estimates).
-    pub fn rfbme(&self) -> Rfbme {
-        self.core.rfbme()
     }
 
     /// Processes one frame through AMC.
@@ -470,44 +457,6 @@ impl<'n> AmcExecutor<'n> {
     /// (the multi-stream [`crate::serve::Engine`] is fallible throughout).
     pub fn try_process(&mut self, image: &GrayImage) -> Result<AmcFrameResult, AmcError> {
         self.core.process(self.net, &mut self.scratch, image)
-    }
-
-    /// Processes one frame with an externally computed motion estimate.
-    ///
-    /// `motion` must be what [`AmcExecutor::rfbme`] would produce from the
-    /// stored key image to `image` (and `None` exactly when no key state is
-    /// stored) for results to match [`AmcExecutor::process`]. This is the
-    /// entry point for executors that compute motion elsewhere — the
-    /// pipelined executor's worker thread, or replayed codec vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the frame is rejected with a typed error (see
-    /// [`AmcExecutor::process`]).
-    pub fn process_with_motion(
-        &mut self,
-        image: &GrayImage,
-        motion: Option<RfbmeResult>,
-    ) -> AmcFrameResult {
-        self.core
-            .process_with_motion_hook(self.net, &mut self.scratch, image, motion, |_| {})
-            .unwrap_or_else(|e| panic!("AMC rejected the frame: {e}"))
-    }
-
-    /// [`AmcExecutor::process_with_motion`] with a hook invoked right after
-    /// the key-frame decision, *before* any CNN or warp work. The pipelined
-    /// executor uses the hook to dispatch the next frame's motion estimate
-    /// (whose reference image is final once the decision is known) so it
-    /// overlaps with this frame's execution.
-    pub(crate) fn process_with_motion_hook(
-        &mut self,
-        image: &GrayImage,
-        motion: Option<RfbmeResult>,
-        after_decision: impl FnOnce(FrameKind),
-    ) -> AmcFrameResult {
-        self.core
-            .process_with_motion_hook(self.net, &mut self.scratch, image, motion, after_decision)
-            .unwrap_or_else(|e| panic!("AMC rejected the frame: {e}"))
     }
 
     /// Convenience: processes a slice of frames, returning per-frame results.

@@ -16,15 +16,15 @@
 //! * §II-C4 key frame selection → [`policy`] (static rate, pixel
 //!   compensation error, total motion magnitude).
 //! * §II-C5 target layer choice → [`target`].
-//! * §II-A the full pipeline → [`executor`] ([`AmcExecutor`], a
-//!   single-stream wrapper).
-//! * §III / Fig 6's decoupled EVA² unit, as a software pipeline →
-//!   [`pipeline`] ([`pipeline::PipelinedExecutor`] overlaps the next
-//!   frame's RFBME with the current frame's CNN work on a worker thread).
-//! * Multi-stream serving → [`serve`] ([`serve::Engine`] owns the network
-//!   and shared scratch; each video stream is a [`serve::StreamSession`],
-//!   and key frames from independent streams share one batched
-//!   im2col + packed-GEMM prefix pass).
+//! * §II-A / §III the full pipeline, Fig 6's EVA² unit in front of the
+//!   layer accelerators → [`serve`], the one way to execute frames:
+//!   [`serve::Engine`] owns the network and shared scratch, each video
+//!   stream is a [`serve::StreamSession`], and key frames from independent
+//!   streams share one batched im2col + packed-GEMM prefix pass.
+//! * Configuration and per-frame results → [`executor`] ([`AmcConfig`],
+//!   [`AmcFrameResult`]), plus [`AmcExecutor`], the serial single-stream
+//!   loop kept as the bit-identity oracle the serving tests and benches
+//!   compare the engine against.
 //!
 //! Configuration errors are typed ([`AmcError`]); build configurations
 //! through [`executor::AmcConfig::builder`].
@@ -57,7 +57,6 @@
 
 pub mod error;
 pub mod executor;
-pub mod pipeline;
 pub mod policy;
 pub mod serve;
 pub mod sparse;
@@ -66,7 +65,6 @@ pub mod warp;
 
 pub use error::AmcError;
 pub use executor::{AmcConfig, AmcConfigBuilder, AmcExecutor, AmcFrameResult, WarpMode};
-pub use pipeline::{FrameExecutor, PipelinedExecutor};
 pub use policy::{FrameMetrics, KeyFramePolicy};
 pub use serve::{Engine, EngineLimits, StreamSession};
 pub use sparse::RleActivation;

@@ -3,10 +3,9 @@
 //!
 //! The paper's EVA² unit sits in front of *shared* layer accelerators and
 //! serves a stream of frames; a deployment serves many such streams from
-//! one process. The single-stream [`AmcExecutor`](crate::executor::AmcExecutor)
-//! cannot model that: it borrows its network and fuses per-stream state
-//! (key frame, policy, stats) with per-process resources (the network,
-//! GEMM scratch). This module splits them:
+//! one process. This module is the one way frames execute, and it keeps
+//! per-stream state (key frame, policy, stats) apart from per-process
+//! resources (the network, GEMM scratch):
 //!
 //! * [`Engine`] owns the process-wide resources — an [`Arc<Network>`] plus
 //!   the shared im2col/packing scratch pools — and executes frames.
@@ -44,8 +43,8 @@
 //! suffix. A predicted frame therefore flows RFBME → warp → sparse suffix
 //! without ever materialising or re-compressing a dense activation tensor,
 //! mirroring the hardware's sparse activation memory. The fused seam is
-//! bit-identical to dense-warp-then-extract, so the wrapper guarantee
-//! below is unaffected.
+//! bit-identical to dense-warp-then-extract, so the serial-oracle
+//! guarantee below is unaffected.
 //!
 //! # Threading model & determinism
 //!
@@ -205,17 +204,16 @@
 //! deadline pressure through it and holds survivors bit-identical to a
 //! clean oracle.
 //!
-//! # The single-stream wrapper guarantee
+//! # The serial-oracle guarantee
 //!
-//! `AmcExecutor` (and therefore `PipelinedExecutor`) is a thin wrapper
-//! over the same per-session state machine ([`SessionCore`]) this module
-//! runs: one session, one borrowed network, one private scratch. Every
-//! output, decision, and statistic is **bit-identical** across all three
-//! entry points — serial executor, pipelined executor, and engine sessions
-//! (single or batched) — which `crates/core/tests/serve_interleaved.rs`
-//! and `pipeline_bitident.rs` enforce. Existing single-stream callers keep
-//! working unchanged; multi-stream callers get batching by switching to
-//! the engine.
+//! [`AmcExecutor`](crate::executor::AmcExecutor) runs the same per-session
+//! state machine (`SessionCore`) one frame at a time: one stream, one
+//! borrowed network, one private scratch, no admission, batching, or
+//! worker pool. Every output, decision, and statistic of an engine
+//! session (single or batched, at any worker count) is **bit-identical**
+//! to that serial loop, which `crates/core/tests/serve_interleaved.rs`
+//! and `soak_chaos.rs` enforce. The executor exists only as that oracle;
+//! single-stream callers open one session on an engine.
 //!
 //! # Example
 //!
@@ -841,7 +839,7 @@ impl HealthState {
 /// The per-stream AMC state machine: everything one video stream needs
 /// between frames, and nothing a stream shares with its neighbours.
 ///
-/// Both [`StreamSession`] and the single-stream
+/// Both [`StreamSession`] and the serial oracle
 /// [`AmcExecutor`](crate::executor::AmcExecutor) wrap exactly this type,
 /// which is what makes their outputs bit-identical: there is one
 /// implementation of the frame state machine, parameterised on a borrowed
@@ -902,20 +900,12 @@ impl SessionCore {
         self.rf
     }
 
-    pub(crate) fn rfbme(&self) -> Rfbme {
-        self.rfbme
-    }
-
     pub(crate) fn stats(&self) -> ExecStats {
         self.stats
     }
 
     pub(crate) fn prefix_macs(&self) -> u64 {
         self.prefix_macs
-    }
-
-    pub(crate) fn total_macs(&self) -> u64 {
-        self.total_macs
     }
 
     pub(crate) fn policy_name(&self) -> &str {
@@ -1161,25 +1151,8 @@ impl SessionCore {
         // EVA² always runs RFBME — its block errors drive the key-frame
         // choice module even when warping is disabled (memoization mode).
         let motion = self.estimate_motion(image);
-        self.process_with_motion_hook(net, scratch, image, motion, |_| {})
-    }
-
-    /// [`SessionCore::process`] with an externally computed motion
-    /// estimate and a hook invoked right after the key-frame decision,
-    /// *before* any CNN or warp work — the pipelined executor's dispatch
-    /// point for the next frame's estimate.
-    pub(crate) fn process_with_motion_hook(
-        &mut self,
-        net: &Network,
-        scratch: &mut GemmScratch,
-        image: &GrayImage,
-        motion: Option<RfbmeResult>,
-        after_decision: impl FnOnce(FrameKind),
-    ) -> Result<AmcFrameResult, AmcError> {
-        self.check_geometry(image)?;
         let plan = self.classify(&motion);
         self.commit_frame(&plan, &motion);
-        after_decision(plan.kind);
         match plan.kind {
             FrameKind::Key => {
                 let input = image.to_tensor();
@@ -2493,82 +2466,15 @@ impl StreamSession {
     }
 }
 
-// Sessions hop threads in serving deployments (one task per camera);
-// enforce the property where the type is defined.
+// Sessions hop threads in serving deployments (one task per camera), and
+// served results leave the worker pool; enforce the property where the
+// types are defined.
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<StreamSession>();
     assert_send::<Engine>();
+    assert_send::<AmcFrameResult>();
 };
-
-/// The serving [`Engine`] speaking the
-/// [`FrameExecutor`](crate::pipeline::FrameExecutor) protocol: one unlimited
-/// engine driving one stream.
-///
-/// This is the adapter the experiment protocols
-/// (`eva2_experiments::run_policy_with`) use so every executor flavour —
-/// serial, pipelined, worker-pool — funnels through the same serving entry
-/// point. The engine is opened with [`EngineLimits::unlimited`] (plus the
-/// forced `worker_threads` count), so every frame is admitted and
-/// [`FrameOutcome::into_result`] cannot refuse; outputs are bit-identical to
-/// the serial [`AmcExecutor`](crate::executor::AmcExecutor) for any worker
-/// count.
-pub struct EngineExecutor {
-    engine: Engine,
-    session: StreamSession,
-}
-
-impl EngineExecutor {
-    /// Builds an unlimited single-stream engine over `net` with a forced
-    /// `worker_threads` count.
-    pub fn new(
-        net: Arc<Network>,
-        config: AmcConfig,
-        worker_threads: usize,
-    ) -> Result<Self, AmcError> {
-        let limits = EngineLimits::builder()
-            .worker_threads(worker_threads)
-            .build()?;
-        let mut engine = Engine::with_limits(net, config, limits)?;
-        let session = engine.open_session()?;
-        Ok(Self { engine, session })
-    }
-
-    /// The engine driving this executor.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-}
-
-impl crate::pipeline::FrameExecutor for EngineExecutor {
-    fn name(&self) -> &'static str {
-        "engine"
-    }
-
-    fn push_frame(&mut self, frame: &GrayImage) -> Result<Option<AmcFrameResult>, AmcError> {
-        // An unlimited engine sheds nothing, so any refusal here (a bad
-        // frame, a contained panic) surfaces as its typed error for the
-        // caller to stop on — never as a panic that could kill a process
-        // serving other streams.
-        Ok(Some(
-            self.engine
-                .process(&mut self.session, frame)
-                .into_result()?,
-        ))
-    }
-
-    fn finish(&mut self) -> Option<AmcFrameResult> {
-        None
-    }
-
-    fn stats(&self) -> ExecStats {
-        self.session.stats()
-    }
-
-    fn reset(&mut self) {
-        self.session.reset();
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -3508,24 +3414,5 @@ mod tests {
         // u64::MAX (the default) means "no deadline" and is valid.
         let limits = EngineLimits::builder().build().unwrap();
         assert_eq!(limits.tick_deadline_ms, u64::MAX);
-    }
-
-    #[test]
-    fn engine_executor_surfaces_refusals_as_typed_errors() {
-        // Regression for the removed `.expect("an unlimited engine serves
-        // every frame")`: a bad frame through the FrameExecutor seam must
-        // come back as a typed error, not a harness-killing panic.
-        use crate::pipeline::FrameExecutor;
-        let net = Arc::new(zoo::tiny_fasterm(0).network);
-        let mut exec = EngineExecutor::new(net, AmcConfig::default(), 1).unwrap();
-        let served = exec.push_frame(&frame(0)).unwrap();
-        assert!(served.unwrap().is_key);
-        let small = GrayImage::from_fn(24, 24, |y, x| ((y * 7 + x) % 199) as u8);
-        match exec.push_frame(&small) {
-            Err(AmcError::FrameGeometryMismatch { got_height: 24, .. }) => {}
-            other => panic!("expected a typed geometry refusal, got {other:?}"),
-        }
-        // The refusal cost nothing: the stream keeps serving.
-        assert!(!exec.push_frame(&frame(1)).unwrap().unwrap().is_key);
     }
 }

@@ -12,19 +12,22 @@
 //! frame, one predicted frame) — CI runs this as a gate, so the shipped
 //! zoo can never regress into a state the `Engine` constructor would
 //! refuse, and the cost numbers the capacity planner sizes fleets with
-//! can never drift from what the executor actually does.
+//! can never drift from what the serving engine actually does.
 
 use eva2_cnn::network::Network;
 use eva2_cnn::zoo::Workload;
-use eva2_core::executor::{AmcConfig, AmcExecutor};
+use eva2_core::executor::AmcConfig;
 use eva2_core::policy::PolicyConfig;
+use eva2_core::serve::Engine;
 use eva2_core::target::TargetSelection;
 use eva2_tensor::GrayImage;
+use std::sync::Arc;
 
-/// Runs one key frame and one predicted frame, returning their measured
-/// `macs_executed` — the live numbers the static model must hit exactly.
+/// Serves one key frame and one predicted frame through an [`Engine`],
+/// returning their measured `macs_executed` — the live numbers the static
+/// model must hit exactly.
 fn runtime_probe(
-    net: &Network,
+    net: &Arc<Network>,
     target: TargetSelection,
     fixed_point: bool,
 ) -> Result<(u64, u64), String> {
@@ -35,7 +38,11 @@ fn runtime_probe(
         .max_residual_error(f32::INFINITY)
         .build()
         .map_err(|e| format!("probe config: {e}"))?;
-    let mut exec = AmcExecutor::try_new(net, config).map_err(|e| format!("probe build: {e}"))?;
+    let mut engine =
+        Engine::new(Arc::clone(net), config).map_err(|e| format!("probe build: {e}"))?;
+    let mut session = engine
+        .open_session()
+        .map_err(|e| format!("probe session: {e}"))?;
     let shape = net.input_shape();
     let frame = |t: usize| {
         GrayImage::from_fn(shape.height, shape.width, |y, x| {
@@ -43,11 +50,13 @@ fn runtime_probe(
             (120.0 + 46.0 * ((y as f32 * 0.27).sin() + (xs * 0.21).cos())) as u8
         })
     };
-    let key = exec
-        .try_process(&frame(0))
+    let key = engine
+        .process(&mut session, &frame(0))
+        .into_result()
         .map_err(|e| format!("probe key frame: {e}"))?;
-    let predicted = exec
-        .try_process(&frame(1))
+    let predicted = engine
+        .process(&mut session, &frame(1))
+        .into_result()
         .map_err(|e| format!("probe predicted frame: {e}"))?;
     if !key.is_key || predicted.is_key {
         return Err("probe frames did not split key/predicted as forced".into());
@@ -59,7 +68,7 @@ fn main() {
     let mut errors = 0usize;
     let mut warnings = 0usize;
     for workload in Workload::ALL {
-        let z = workload.build(11);
+        let net = Arc::new(workload.build(11).network);
         for (label, target) in [
             ("early", TargetSelection::Early),
             ("late", TargetSelection::Late),
@@ -74,7 +83,7 @@ fn main() {
                     .fixed_point(fixed_point)
                     .build()
                     .expect("default-derived config is valid");
-                let report = match config.analyze(&z.network) {
+                let report = match config.analyze(&net) {
                     Ok(r) => r,
                     Err(e) => {
                         println!(
@@ -93,7 +102,7 @@ fn main() {
                 println!("{}", report.render());
                 errors += report.errors().count();
                 warnings += report.warnings().count();
-                match (&report.cost, runtime_probe(&z.network, target, fixed_point)) {
+                match (&report.cost, runtime_probe(&net, target, fixed_point)) {
                     (Some(cost), Ok((key_macs, predicted_macs))) => {
                         let key_ok = cost.key_frame_macs == key_macs;
                         let predicted_ok = cost.predicted_frame_macs == predicted_macs;

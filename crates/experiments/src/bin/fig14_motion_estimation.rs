@@ -3,8 +3,9 @@
 //!
 //! Conditions (matching the figure's bars): *new key frame* (ideal, full
 //! CNN), the dense-flow baseline (FlowNet2-s in the paper; Horn–Schunck
-//! here, see DESIGN.md §2), Lucas–Kanade, RFBME, and *old key frame*
-//! (reuse without updating).
+//! here, the classical dense variational method, since a learned flow
+//! network would need ImageNet-scale training), Lucas–Kanade, RFBME, and
+//! *old key frame* (reuse without updating).
 
 use eva2_cnn::zoo::Workload;
 use eva2_experiments::evalproto::{baseline_accuracy, gap_accuracy, GapPredictor};

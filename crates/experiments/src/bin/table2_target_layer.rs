@@ -4,7 +4,8 @@
 //! Early = after the CNN's first pooling layer; late = the last spatial
 //! layer (the paper's default). For the classification workload the paper
 //! uses a very long interval (4891 ms); our clips are shorter, so the
-//! longest representable gap stands in (recorded in EXPERIMENTS.md).
+//! longest representable gap (clip length minus one frame) stands in, and
+//! the table marks that row with `*`.
 
 use eva2_cnn::zoo::Workload;
 use eva2_experiments::evalproto::{baseline_accuracy, gap_accuracy, GapPredictor};

@@ -3,10 +3,9 @@
 use eva2_cnn::metrics::{self, Detection, DetectionResult, NormBox};
 use eva2_cnn::network::Network;
 use eva2_cnn::zoo::{Task, Workload, ZooNet};
-use eva2_core::executor::{AmcConfig, AmcExecutor, WarpMode};
-use eva2_core::pipeline::{FrameExecutor, PipelinedExecutor};
+use eva2_core::executor::{AmcConfig, WarpMode};
 use eva2_core::policy::PolicyConfig;
-use eva2_core::serve::EngineExecutor;
+use eva2_core::serve::Engine;
 use eva2_core::target::TargetSelection;
 use eva2_core::warp::warp_activation;
 use eva2_motion::hornschunck::HornSchunck;
@@ -226,93 +225,41 @@ pub struct PolicyOutcome {
     pub frames: usize,
 }
 
-/// Which frame executor a protocol drives. All variants produce
-/// bit-identical outputs (see `eva2_core::pipeline` and the
-/// `eva2_core::serve` threading-model docs): pipelined overlaps each
-/// frame's RFBME with its predecessor's CNN work on a worker thread, and
-/// the engine funnels frames through the worker-pool serving
-/// [`Engine`](eva2_core::serve::Engine) — the production entry point to
-/// serving, and the default here so protocol runs exercise it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutorKind {
-    /// The worker-pool serving engine ([`EngineExecutor`]) with a forced
-    /// thread count. The default (with one worker) — experiments and the
-    /// serving path share a single entry point.
-    Engine {
-        /// Forced worker-thread count (cf. `EngineLimits::worker_threads`).
-        worker_threads: usize,
-    },
-    /// The serial [`AmcExecutor`], kept as the bit-identity oracle.
-    Serial,
-    /// The two-thread streaming [`PipelinedExecutor`].
-    Pipelined,
-}
-
-impl Default for ExecutorKind {
-    fn default() -> Self {
-        ExecutorKind::Engine { worker_threads: 1 }
-    }
-}
-
-impl ExecutorKind {
-    /// Builds the chosen executor over `net`.
-    ///
-    /// The engine variant needs an owned network (`Arc<Network>`), so it
-    /// deep-copies `net` — zoo networks are small, and protocols build one
-    /// executor per clip at most.
-    pub fn build<'n>(self, net: &'n Network, config: AmcConfig) -> Box<dyn FrameExecutor + 'n> {
-        match self {
-            ExecutorKind::Engine { worker_threads } => Box::new(
-                EngineExecutor::new(Arc::new(net.clone()), config, worker_threads)
-                    .expect("valid AMC config"),
-            ),
-            ExecutorKind::Serial => {
-                Box::new(AmcExecutor::try_new(net, config).expect("valid AMC config"))
-            }
-            ExecutorKind::Pipelined => Box::new(PipelinedExecutor::new(
-                AmcExecutor::try_new(net, config).expect("valid AMC config"),
-            )),
+/// Serves every `step`-th frame of each clip through one serving
+/// [`Engine`] over a copy of `zoo`'s network, opening a fresh
+/// [`StreamSession`](eva2_core::serve::StreamSession) per clip so key-frame
+/// state resets between videos, like the paper's per-video evaluation.
+/// Returns each served output paired with its frame, and the key-frame
+/// count.
+fn serve_clips<'c>(
+    zoo: &ZooNet,
+    clips: &'c [Clip],
+    step: usize,
+    config: AmcConfig,
+) -> (Vec<(Tensor3, &'c Frame)>, usize) {
+    let mut engine = Engine::new(Arc::new(zoo.network.clone()), config).expect("valid AMC config");
+    let mut outputs = Vec::new();
+    let mut keys = 0usize;
+    for clip in clips {
+        let mut session = engine
+            .open_session()
+            .expect("an unlimited engine has capacity");
+        for frame in clip.frames.iter().step_by(step) {
+            let r = engine
+                .process(&mut session, &frame.image)
+                .expect("the engine refused a clean experiment frame");
+            keys += r.is_key as usize;
+            outputs.push((r.output, frame));
         }
     }
+    (outputs, keys)
 }
 
 /// Runs the full AMC stack over each clip (state resets between clips,
 /// like the paper's per-video evaluation) and scores every frame's output.
-///
-/// Frames flow through the serving engine ([`ExecutorKind::default`]), the
-/// same entry point production serving uses; outputs are bit-identical to
-/// the serial executor.
 pub fn run_policy(zoo: &ZooNet, clips: &[Clip], config: AmcConfig) -> PolicyOutcome {
-    run_policy_with(zoo, clips, config, ExecutorKind::default())
-}
-
-/// [`run_policy`] parameterised on the executor implementation.
-pub fn run_policy_with(
-    zoo: &ZooNet,
-    clips: &[Clip],
-    config: AmcConfig,
-    kind: ExecutorKind,
-) -> PolicyOutcome {
-    let mut outputs: Vec<(Tensor3, &Frame)> = Vec::new();
-    let mut keys = 0usize;
-    let mut frames = 0usize;
-    for clip in clips {
-        // A fresh executor per clip, like the paper's per-video evaluation.
-        let mut exec = kind.build(&zoo.network, config);
-        let mut results = Vec::with_capacity(clip.len());
-        for frame in &clip.frames {
-            results.extend(
-                exec.push_frame(&frame.image)
-                    .expect("executor refused a clean experiment frame"),
-            );
-        }
-        results.extend(exec.finish());
-        for (r, frame) in results.into_iter().zip(&clip.frames) {
-            keys += r.is_key as usize;
-            frames += 1;
-            outputs.push((r.output, frame));
-        }
-    }
+    let (outputs, keys) = serve_clips(zoo, clips, 1, config);
+    let frames = outputs.len();
     PolicyOutcome {
         accuracy: score(zoo.task, &outputs),
         key_fraction: if frames == 0 {
@@ -334,22 +281,8 @@ pub fn fixed_gap_adaptive(
     gap: usize,
     config: AmcConfig,
 ) -> (f32, f32) {
-    let gap = gap.max(1);
-    let mut outputs: Vec<(Tensor3, &Frame)> = Vec::new();
-    let mut keys = 0usize;
-    let mut total = 0usize;
-    for clip in clips {
-        let mut amc = AmcExecutor::try_new(&zoo.network, config).expect("valid AMC config");
-        let mut t = 0;
-        while t < clip.len() {
-            let frame = &clip.frames[t];
-            let r = amc.process(&frame.image);
-            keys += r.is_key as usize;
-            total += 1;
-            outputs.push((r.output, frame));
-            t += gap;
-        }
-    }
+    let (outputs, keys) = serve_clips(zoo, clips, gap.max(1), config);
+    let total = outputs.len();
     let pred_fraction = if total == 0 {
         0.0
     } else {
@@ -362,6 +295,7 @@ pub fn fixed_gap_adaptive(
 mod tests {
     use super::*;
     use crate::workloads::{train_workload, Budget};
+    use eva2_core::executor::AmcExecutor;
 
     fn tiny_budget() -> Budget {
         Budget {
@@ -395,39 +329,25 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_executor_reproduces_serial_policy_outcome() {
+    fn run_policy_matches_serial_executor_loop() {
         let tw = train_workload(Workload::FasterM, &tiny_budget());
         let cfg = amc_config_for(Workload::FasterM);
-        let serial = run_policy_with(&tw.zoo, &tw.test, cfg, ExecutorKind::Serial);
-        let pipelined = run_policy_with(&tw.zoo, &tw.test, cfg, ExecutorKind::Pipelined);
-        assert_eq!(serial, pipelined, "executors must be interchangeable");
-    }
-
-    #[test]
-    fn engine_executor_reproduces_serial_policy_outcome() {
-        let tw = train_workload(Workload::FasterM, &tiny_budget());
-        let cfg = amc_config_for(Workload::FasterM);
-        let serial = run_policy_with(&tw.zoo, &tw.test, cfg, ExecutorKind::Serial);
-        for worker_threads in [1, 3] {
-            let engine = run_policy_with(
-                &tw.zoo,
-                &tw.test,
-                cfg,
-                ExecutorKind::Engine { worker_threads },
-            );
-            assert_eq!(
-                serial, engine,
-                "serving engine ({worker_threads} workers) must match the serial oracle"
-            );
+        let mut outputs: Vec<(Tensor3, &Frame)> = Vec::new();
+        let mut keys = 0usize;
+        for clip in &tw.test {
+            let mut amc = AmcExecutor::try_new(&tw.zoo.network, cfg).unwrap();
+            for frame in &clip.frames {
+                let r = amc.process(&frame.image);
+                keys += r.is_key as usize;
+                outputs.push((r.output, frame));
+            }
         }
-    }
-
-    #[test]
-    fn default_executor_is_the_serving_engine() {
-        assert_eq!(
-            ExecutorKind::default(),
-            ExecutorKind::Engine { worker_threads: 1 }
-        );
+        let serial = PolicyOutcome {
+            accuracy: score(tw.zoo.task, &outputs),
+            key_fraction: keys as f32 / outputs.len() as f32,
+            frames: outputs.len(),
+        };
+        assert_eq!(run_policy(&tw.zoo, &tw.test, cfg), serial);
     }
 
     #[test]

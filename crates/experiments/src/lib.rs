@@ -11,7 +11,7 @@
 //! * [`report`] — plain-text tables matching the paper's rows plus JSON
 //!   dumps under `results/`.
 //!
-//! Binaries (see DESIGN.md §5 for the full index):
+//! Binaries:
 //!
 //! | binary | paper artifact |
 //! |---|---|

@@ -6,8 +6,7 @@
 //! smooth, high-quality field". Horn–Schunck [23] is the classical
 //! variational method with exactly those properties (global smoothness
 //! regularisation, dense output, iterative and costly), making it the
-//! closest reproducible substitute without ImageNet-scale training
-//! (DESIGN.md §2 records the substitution).
+//! closest reproducible substitute without ImageNet-scale training.
 
 use crate::field::{MotionVector, VectorField};
 use crate::{MotionEstimator, MotionResult};

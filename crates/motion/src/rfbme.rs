@@ -487,9 +487,9 @@ fn valid_tile_range(tiles: usize, s: usize, d: isize, n: usize) -> (usize, usize
 /// single-level baseline [`Rfbme::estimate_onelevel_with`]).
 ///
 /// One estimate needs two integral images plus a dozen per-tile /
-/// per-receptive-field work vectors; a frame-loop caller (the AMC
-/// executor's session state, the pipelined executor's `rfbme-worker`
-/// thread) holds one scratch so steady-state estimation allocates nothing
+/// per-receptive-field work vectors; a frame-loop caller (each serving
+/// session's state, which the engine's worker pool borrows on its scoped
+/// threads) holds one scratch so steady-state estimation allocates nothing
 /// but the returned [`RfbmeResult`]. Buffer contents never influence
 /// results — every value is rewritten (or reset here) before use — so
 /// sharing a scratch across streams, or none at all, is purely a

@@ -79,9 +79,9 @@ impl<'a> IntoIterator for &'a Clip {
     }
 }
 
-// Frames move across threads in the pipelined executor (main thread →
-// RFBME worker) and in any future batched/sharded front-end; keep the
-// hand-off types thread-safe by construction.
+// Frames move across threads in the serving engine's worker pool (a tick's
+// frames are read by scoped per-stream workers) and in any future sharded
+// front-end; keep the hand-off types thread-safe by construction.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<GrayImage>();

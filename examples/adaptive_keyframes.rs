@@ -10,11 +10,13 @@
 //! to refresh on. Expect almost no key frames during the frozen segment,
 //! sparse keys while panning, and frequent keys in the chaotic segment.
 
-use eva2::amc::executor::{AmcConfig, AmcExecutor};
+use eva2::amc::executor::AmcConfig;
 use eva2::amc::policy::PolicyConfig;
+use eva2::amc::serve::Engine;
 use eva2::cnn::zoo;
 use eva2::tensor::GrayImage;
 use eva2::video::scene::{MotionRegime, Scene, SceneConfig};
+use std::sync::Arc;
 
 fn segment(regime: MotionRegime, seed: u64, frames: usize) -> Vec<GrayImage> {
     let mut cfg = SceneConfig::detection(48, 48).with_regime(regime);
@@ -33,7 +35,7 @@ fn segment(regime: MotionRegime, seed: u64, frames: usize) -> Vec<GrayImage> {
 }
 
 fn main() {
-    let workload = zoo::tiny_fasterm(3);
+    let net = Arc::new(zoo::tiny_fasterm(3).network);
     let config = AmcConfig {
         policy: PolicyConfig::BlockError {
             threshold: 2.0,
@@ -41,7 +43,8 @@ fn main() {
         },
         ..Default::default()
     };
-    let mut amc = AmcExecutor::try_new(&workload.network, config).unwrap();
+    let mut engine = Engine::new(net, config).unwrap();
+    let mut stream = engine.open_session().unwrap();
 
     let segments = [
         ("frozen", MotionRegime::Frozen, 42u64),
@@ -54,13 +57,13 @@ fn main() {
         let mut pattern = String::new();
         let mut keys = 0;
         for image in &frames {
-            let r = amc.process(image);
+            let r = engine.process(&mut stream, image).unwrap();
             pattern.push(if r.is_key { 'K' } else { '.' });
             keys += r.is_key as usize;
         }
         println!("{name:>11}: {pattern}   ({keys}/12 key frames)");
     }
-    let stats = amc.stats();
+    let stats = stream.stats();
     println!(
         "\noverall: {:.0}% key frames, {} RFBME adds, {} warp interpolations",
         100.0 * stats.key_fraction(),

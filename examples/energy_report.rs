@@ -6,11 +6,13 @@
 //! cargo run --release --example energy_report
 //! ```
 
-use eva2::amc::executor::{AmcConfig, AmcExecutor};
+use eva2::amc::executor::AmcConfig;
+use eva2::amc::serve::Engine;
 use eva2::cnn::zoo;
 use eva2::hw::cost::HwModel;
 use eva2::hw::nets;
 use eva2::video::scene::{MotionRegime, Scene, SceneConfig};
+use std::sync::Arc;
 
 fn main() {
     let model = HwModel::default();
@@ -21,19 +23,20 @@ fn main() {
     ] {
         // Measure the key-frame rate the adaptive policy actually chooses
         // on this kind of content, using the scaled-down FasterM analogue.
-        let workload = zoo::tiny_fasterm(5);
-        let mut amc = AmcExecutor::try_new(&workload.network, AmcConfig::default()).unwrap();
+        let net = Arc::new(zoo::tiny_fasterm(5).network);
+        let mut engine = Engine::new(net, AmcConfig::default()).unwrap();
+        let mut stream = engine.open_session().unwrap();
         for seed in 0..6 {
             let mut scene = Scene::new(
                 SceneConfig::detection(48, 48).with_regime(regime),
                 70 + seed,
             );
             for frame in scene.render_clip(20).frames {
-                amc.process(&frame.image);
+                engine.process(&mut stream, &frame.image).unwrap();
             }
-            amc.reset();
+            stream.reset();
         }
-        let key_fraction = amc.stats().key_fraction() as f64;
+        let key_fraction = stream.stats().key_fraction() as f64;
 
         // Project onto the full-scale FasterM descriptor.
         let net = nets::fasterm();

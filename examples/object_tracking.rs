@@ -6,11 +6,13 @@
 //! cargo run --release --example object_tracking
 //! ```
 
-use eva2::amc::executor::{AmcConfig, AmcExecutor};
+use eva2::amc::executor::AmcConfig;
+use eva2::amc::serve::Engine;
 use eva2::cnn::metrics::Detection;
 use eva2::cnn::train::{train_detector, DetSample, TrainConfig};
 use eva2::cnn::zoo;
 use eva2::video::scene::{MotionRegime, Scene, SceneConfig};
+use std::sync::Arc;
 
 fn main() {
     // Train a small detector on a few hundred synthetic frames.
@@ -48,13 +50,14 @@ fn main() {
     );
     let clip = scene.render_clip(16);
 
-    let mut amc = AmcExecutor::try_new(&workload.network, AmcConfig::default()).unwrap();
+    let mut engine = Engine::new(Arc::new(workload.network), AmcConfig::default()).unwrap();
+    let mut stream = engine.open_session().unwrap();
     println!("\n tracking: truth centre vs AMC detection centre (48x48 frame)\n");
     println!(" t   kind  truth (y,x)    amc (y,x)      err(px)  full-CNN err(px)");
     for (t, frame) in clip.frames.iter().enumerate() {
-        let r = amc.process(&frame.image);
+        let r = engine.process(&mut stream, &frame.image).unwrap();
         let amc_det = Detection::from_output(&r.output);
-        let full_det = Detection::from_output(&workload.network.forward(&frame.image.to_tensor()));
+        let full_det = Detection::from_output(&engine.network().forward(&frame.image.to_tensor()));
         let (ty, tx) = frame.truth.bbox.center();
         let to_px = |v: f32| v * 48.0;
         let err = |d: &Detection| {
@@ -71,7 +74,7 @@ fn main() {
             err(&full_det),
         );
     }
-    let stats = amc.stats();
+    let stats = stream.stats();
     println!(
         "\nAMC ran the full CNN on {}/{} frames; the rest were warped predictions.",
         stats.key_frames, stats.frames

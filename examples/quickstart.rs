@@ -5,21 +5,23 @@
 //! ```
 //!
 //! Builds a small detection CNN, generates a synthetic video scene, and
-//! processes it through the AMC executor, printing per-frame decisions and
-//! the work saved relative to running the full CNN every frame.
+//! serves it as one stream of an AMC `Engine`, printing per-frame decisions
+//! and the work saved relative to running the full CNN every frame.
 //!
-//! This is the single-stream path; see `examples/multi_stream.rs` for
-//! serving many concurrent streams through one `Engine` with cross-stream
-//! batched key frames.
+//! One stream is one `StreamSession`; see `examples/multi_stream.rs` for
+//! serving many concurrent streams through the same `Engine` with
+//! cross-stream batched key frames.
 
-use eva2::amc::executor::{AmcConfig, AmcExecutor};
+use eva2::amc::executor::AmcConfig;
+use eva2::amc::serve::Engine;
 use eva2::cnn::zoo;
 use eva2::video::scene::{Scene, SceneConfig};
+use std::sync::Arc;
 
 fn main() {
     // 1. A CNN with a spatial prefix and a fully-connected suffix.
-    let workload = zoo::tiny_fasterm(42);
-    println!("network: {:?}", workload.network);
+    let net = Arc::new(zoo::tiny_fasterm(42).network);
+    println!("network: {net:?}");
 
     // 2. A synthetic live-video scene (moving sprite, camera pan, noise).
     let mut scene = Scene::new(SceneConfig::detection(48, 48), 7);
@@ -29,16 +31,17 @@ fn main() {
     //    motion estimation, bilinear warping, adaptive block-error policy.
     //    The builder validates; construction errors are typed (`AmcError`).
     let config = AmcConfig::builder().build().expect("defaults are valid");
-    let mut amc = AmcExecutor::try_new(&workload.network, config).expect("resolvable target");
+    let mut engine = Engine::new(net, config).expect("resolvable target");
+    let mut stream = engine.open_session().expect("engine has capacity");
     println!(
         "target layer = {} (receptive field {:?})",
-        amc.target(),
-        amc.rf_geometry()
+        engine.target(),
+        engine.rf_geometry()
     );
     println!();
 
     for (t, frame) in clip.frames.iter().enumerate() {
-        let result = amc.process(&frame.image);
+        let result = engine.process(&mut stream, &frame.image).unwrap();
         let kind = if result.is_key { "KEY " } else { "pred" };
         let err = result
             .metrics
@@ -50,8 +53,8 @@ fn main() {
         );
     }
 
-    let stats = amc.stats();
-    let full = workload.network.total_macs() * stats.frames as u64;
+    let stats = stream.stats();
+    let full = engine.total_macs() * stats.frames as u64;
     println!();
     println!(
         "key frames: {}/{} ({:.0}%)",
@@ -65,7 +68,7 @@ fn main() {
         full,
         100.0 * (1.0 - stats.macs as f64 / full as f64)
     );
-    if let Some(rle) = amc.key_activation() {
+    if let Some(rle) = stream.key_activation() {
         println!(
             "sparse activation store: {:.0}% compression",
             100.0 * rle.compression()

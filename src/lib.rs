@@ -15,35 +15,37 @@
 //! * [`analysis`] — the build-time model/pipeline verifier: shape
 //!   inference, warp-legality, Q8.8 range analysis, and sparsity-flow
 //!   passes over a network IR (`analysis::analyze`), with stable
-//!   diagnostic codes. `Engine`/`AmcExecutor` construction consults it.
-//! * [`amc`] — the AMC executor: warp engine, sparse activation store,
-//!   key-frame policies, and the multi-stream serving engine
-//!   (`amc::serve::Engine` / `StreamSession`, with cross-stream batched
-//!   key frames) — crate `eva2-core`.
+//!   diagnostic codes. `Engine` construction consults it.
+//! * [`amc`] — activation motion compensation: warp engine, sparse
+//!   activation store, key-frame policies, and the serving engine that
+//!   runs them (`amc::serve::Engine`, one `StreamSession` per video
+//!   stream, with cross-stream batched key frames) — crate `eva2-core`.
 //! * [`hw`] — the Eyeriss + EIE + EVA² energy/latency/area model.
 //!
 //! ## Quick start
 //!
 //! ```
-//! use eva2::amc::executor::{AmcConfig, AmcExecutor};
+//! use eva2::amc::executor::AmcConfig;
+//! use eva2::amc::serve::Engine;
 //! use eva2::cnn::zoo;
 //! use eva2::video::scene::{Scene, SceneConfig};
+//! use std::sync::Arc;
 //!
-//! let workload = zoo::tiny_fasterm(1);
+//! let net = Arc::new(zoo::tiny_fasterm(1).network);
 //! let mut scene = Scene::new(SceneConfig::detection(48, 48), 7);
 //! let clip = scene.render_clip(5);
-//! let mut amc = AmcExecutor::try_new(&workload.network, AmcConfig::default()).unwrap();
+//! let mut engine = Engine::new(net, AmcConfig::default()).unwrap();
+//! let mut stream = engine.open_session().unwrap();
 //! for frame in &clip.frames {
-//!     let result = amc.process(&frame.image);
+//!     let result = engine.process(&mut stream, &frame.image).unwrap();
 //!     // result.output is the CNN suffix output for this frame.
 //!     assert_eq!(result.output.shape().channels, zoo::DETECTION_OUTPUTS);
 //! }
-//! assert!(amc.stats().key_frames >= 1);
+//! assert!(stream.stats().key_frames >= 1);
 //! ```
 //!
-//! See `README.md` for the architecture overview, `DESIGN.md` for the
-//! system inventory, and `EXPERIMENTS.md` for the paper-vs-measured record
-//! of every table and figure.
+//! The experiment binaries in `crates/experiments` regenerate the paper's
+//! tables and figures at this reproduction's scale.
 
 #![forbid(unsafe_code)]
 
