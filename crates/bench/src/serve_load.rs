@@ -332,7 +332,10 @@ pub fn measure(mode: Mode) -> ServeMeasurements {
 impl ServeMeasurements {
     /// Renders the `BENCH_serve.json` document.
     pub fn to_json(&self) -> String {
-        let mut body = String::from("{\n  \"bench\": \"serve_engine\",\n  \"entries\": [\n");
+        let mut body = format!(
+            "{{\n  \"bench\": \"serve_engine\",\n  {},\n  \"entries\": [\n",
+            crate::trajectory::host_json()
+        );
         for (i, e) in self.entries.iter().enumerate() {
             let _ = write!(
                 body,

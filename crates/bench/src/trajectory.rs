@@ -28,6 +28,24 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// The measuring host's facts as a `"host": {...}` JSON member, stamped
+/// into every committed `BENCH_*.json`: two trajectory points compare only
+/// when their hosts match.
+pub fn host_json() -> String {
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        })
+        .unwrap_or_else(|| std::env::consts::ARCH.to_string());
+    format!(
+        "\"host\": {{\"available_parallelism\": {}, \"cpu_model\": \"{cpu_model}\", \"rustc\": \"{}\"}}",
+        std::thread::available_parallelism().map_or(1, usize::from),
+        env!("EVA2_BENCH_RUSTC_VERSION")
+    )
+}
+
 /// Measurement effort: the committed trajectory uses [`Mode::Full`]; CI's
 /// regression gate uses [`Mode::Quick`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +115,8 @@ pub struct Measurements {
     /// RFBME: exhaustive reference over the early-exit fast path.
     pub rfbme_reference_over_fast: f64,
     /// RFBME: the PR-2 single-level ascending-magnitude search over the
-    /// two-level best-first search (both at the executor geometry).
+    /// best-first search with its row sweeps (both at the executor
+    /// geometry). The key keeps its historical name.
     pub rfbme_twolevel_over_onelevel: f64,
     /// Predicted-frame tail (warp + sparse suffix): dense-intermediate
     /// (warp → dense tensor → `from_dense` → suffix) over the fused
@@ -350,7 +369,7 @@ pub fn measure(mode: Mode) -> Measurements {
     };
 
     // ------------------------------------------------------------------
-    // RFBME at the executor's geometry: two-level best-first fast path vs
+    // RFBME at the executor's geometry: best-first fast path vs
     // the retained single-level search vs the exhaustive two-stage
     // reference.
     // ------------------------------------------------------------------
@@ -375,7 +394,7 @@ pub fn measure(mode: Mode) -> Measurements {
     let rfbme_reference_over_fast = rfbme_reference / rfbme_fast;
     let rfbme_twolevel_over_onelevel = rfbme_onelevel / rfbme_fast;
     println!("rfbme speedup (reference / fast): {rfbme_reference_over_fast:.2}x");
-    println!("rfbme speedup (one-level / two-level): {rfbme_twolevel_over_onelevel:.2}x");
+    println!("rfbme speedup (one-level / best-first): {rfbme_twolevel_over_onelevel:.2}x");
 
     // ------------------------------------------------------------------
     // Predicted-frame tail: warp + sparse suffix, fused warp→sparse (the
@@ -490,7 +509,10 @@ pub fn measure(mode: Mode) -> Measurements {
 impl Measurements {
     /// Renders the `BENCH_conv.json` document.
     pub fn to_json(&self) -> String {
-        let mut body = String::from("{\n  \"bench\": \"conv_engine\",\n  \"entries\": [\n");
+        let mut body = format!(
+            "{{\n  \"bench\": \"conv_engine\",\n  {},\n  \"entries\": [\n",
+            host_json()
+        );
         for (i, e) in self.entries.iter().enumerate() {
             let _ = write!(
                 body,

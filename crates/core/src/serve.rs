@@ -35,7 +35,7 @@
 //!
 //! Predicted frames are the steady-state common case — key frames are
 //! deliberately rare — so their path is kept free of dense intermediates:
-//! RFBME runs the two-level best-first search
+//! RFBME runs the best-first search
 //! (`eva2_motion::rfbme`, with per-stream pruning counters surfaced in
 //! [`ExecStats`]), and warping emits the sparse activation *directly*
 //! ([`crate::warp::warp_activation_sparse`] /
@@ -1026,7 +1026,6 @@ impl SessionCore {
         if let Some(m) = motion.as_ref() {
             self.stats.rfbme_candidates += m.search.candidates;
             self.stats.rfbme_level0_rejects += m.search.rejected_level0;
-            self.stats.rfbme_level1_rejects += m.search.rejected_level1;
         }
         if plan.forced {
             self.stats.forced_keys += 1;
@@ -2566,10 +2565,10 @@ mod tests {
         let s = session.stats();
         assert!(s.rfbme_candidates > 0, "second frame ran the search");
         assert!(
-            s.rfbme_level0_rejects + s.rfbme_level1_rejects > 0,
-            "the two-level search prunes on a drifting scene: {s:?}"
+            s.rfbme_level0_rejects > 0,
+            "the best-first search prunes on a drifting scene: {s:?}"
         );
-        let refined = s.rfbme_candidates - s.rfbme_level0_rejects - s.rfbme_level1_rejects;
+        let refined = s.rfbme_candidates - s.rfbme_level0_rejects;
         assert!(
             refined < s.rfbme_candidates,
             "refined {refined} of {} candidates",

@@ -18,33 +18,35 @@
 //! operations, which backs the §IV-A first-order comparison against the CNN
 //! prefix cost.
 //!
-//! # The fast path: hierarchical bounds, best-first
+//! # The fast path: one bound, best-first, row sweeps for the survivors
 //!
 //! [`Rfbme::estimate`] computes the *same result* as the two-stage hardware
 //! model ([`Rfbme::estimate_reference`]) through a best-first
-//! branch-and-bound search over admissible SAD lower bounds. All bounds are
-//! instances of one inequality — for any partition of a tile into bands,
-//! `Σ_bands |Σ new_band − Σ key_band| ≤ SAD` by the triangle inequality —
-//! evaluated in O(1) per band from two [`IntegralImage`]s built once per
+//! branch-and-bound search over one admissible SAD lower bound, evaluated
+//! from an [`IntegralImage`] box filter of the key frame built once per
 //! estimate:
 //!
-//! * **Level 0** is the one-band (whole-tile) bound `|Σ new − Σ key|`. A
-//!   pre-pass aggregates it per receptive field for *every* candidate
-//!   offset (rolling column reuse, exactly the hardware consumer's walk)
-//!   and scores each offset by its total aggregated bound.
+//! * **Level 0** is the whole-tile bound `|Σ new − Σ key| ≤ SAD` (triangle
+//!   inequality). A pre-pass aggregates it per receptive field for *every*
+//!   candidate offset (rolling column reuse, exactly the hardware
+//!   consumer's walk) and scores each offset by its total aggregated bound.
 //! * **Best-first order**: offsets are then visited in ascending score
 //!   order, so the offset most likely to hold the true minimum is refined
 //!   first and the per-field running minima are tight almost immediately —
 //!   after which level 0 alone rejects most remaining (offset, field)
-//!   pairs without touching any pixel.
-//! * **Level 1** re-bounds the survivors per tile with the strictly
-//!   tighter per-column-strip and per-row partial-sum bounds
-//!   ([`sad_lower_bound_cols`](crate::sad::sad_lower_bound_cols) /
-//!   [`sad_lower_bound_rows`](crate::sad::sad_lower_bound_rows), O(stride)
-//!   each, no per-pixel work). Only tiles of fields that survive level 1
-//!   reach the exact chunked SAD kernels.
+//!   pairs without touching any pixel. Offset- and row-band-level quick
+//!   rejects skip whole aggregations the same way.
+//! * **Row sweep**: when a field at an offset survives level 0,
+//!   [`sad_tile_sweep`](crate::sad::sad_tile_sweep) computes the exact SAD
+//!   of every valid tile in the tile rows the field covers, in one pass
+//!   over contiguous pixel rows, and the field sums its own tiles. Later
+//!   survivors at the same offset reuse those tiles; fields are visited
+//!   band by band down the frame, so each tile row is swept at most once
+//!   per offset. A per-tile bound finer than level 0 costs about as much
+//!   as the 8×8 SAD it would avoid, so refining whole tile rows at once is
+//!   cheaper than re-bounding survivors tile by tile.
 //!
-//! Because every bound is a true lower bound, skipping is exact; and the
+//! Because the bound is a true lower bound, skipping is exact; and the
 //! min-check keeps the lexicographic minimum of `(error, |offset|²,
 //! row-major offset index)`, which reproduces the reference's tie-breaking
 //! under *any* visit order (the reference visits row-major and updates on
@@ -53,12 +55,13 @@
 //! reference; only the operation counts — and the [`SearchStats`] pruning
 //! counters — differ. The PR-2 single-level, ascending-magnitude search
 //! survives as [`Rfbme::estimate_onelevel`], the measured baseline for the
-//! `rfbme_twolevel_over_onelevel` trajectory ratio.
+//! `rfbme_twolevel_over_onelevel` trajectory ratio (the key keeps its
+//! name; its fast side is level 0 plus the row sweeps).
 
 // lint: hot-path
 
 use crate::field::{MotionVector, VectorField};
-use crate::sad::{sad_lower_bound_cols, sad_lower_bound_rows, sad_window, IntegralImage};
+use crate::sad::{sad_tile_sweep, sad_window, IntegralImage};
 use crate::{MotionEstimator, MotionResult};
 use eva2_tensor::GrayImage;
 use serde::{Deserialize, Serialize};
@@ -368,14 +371,15 @@ impl DiffTileConsumer {
 /// whose search windows stay in bounds for every tile the field covers.
 /// Every candidate is accounted for exactly once:
 /// `candidates == rejected_level0 + rejected_level1 + refined`.
+/// The search has one bound tier, so `rejected_level1` is always 0; it is
+/// kept so the partition and readers of the field stay unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SearchStats {
     /// Valid (offset, receptive field) pairs examined.
     pub candidates: u64,
     /// Candidates rejected by the aggregated whole-tile (level-0) bound.
     pub rejected_level0: u64,
-    /// Candidates rejected by the per-row / per-column-strip (level-1)
-    /// bound after surviving level 0.
+    /// Always 0: the search has no second bound tier (see the type docs).
     pub rejected_level1: u64,
     /// Candidates fully refined with exact SAD aggregation.
     pub refined: u64,
@@ -510,14 +514,11 @@ pub struct RfbmeScratch {
     improvable: Vec<usize>,
     colsum: Vec<u64>,
     colvalid: Vec<bool>,
-    // Best-first two-level search state (estimate_with only).
+    // Best-first search state (estimate_with only).
     cand: Vec<Cand>,
     order: Vec<u32>,
     key_box: Vec<u64>,
     best_bf: Vec<BestCell>,
-    l1: Vec<u64>,
-    l1_stamp: Vec<u32>,
-    exact_stamp: Vec<u32>,
 }
 
 impl RfbmeScratch {
@@ -552,14 +553,11 @@ impl RfbmeScratch {
             + vec_bytes(&self.order)
             + vec_bytes(&self.key_box)
             + vec_bytes(&self.best_bf)
-            + vec_bytes(&self.l1)
-            + vec_bytes(&self.l1_stamp)
-            + vec_bytes(&self.exact_stamp)
     }
 }
 
 /// Shared search geometry derived once per estimate, used by both the
-/// two-level fast path and the retained single-level baseline.
+/// best-first fast path and the retained single-level baseline.
 #[derive(Debug, Clone, Copy)]
 struct SearchGeometry {
     s: usize,
@@ -577,7 +575,7 @@ struct SearchGeometry {
 /// the per-axis receptive-field tile ranges, rebuilds both integral images
 /// (returning their op count as the initial `producer_ops`), and computes
 /// every new-frame tile sum. Keeping it in one place means a geometry or
-/// ops-accounting change cannot silently diverge between the two-level
+/// ops-accounting change cannot silently diverge between the best-first
 /// search and the single-level oracle that validates it — only the search
 /// logic itself stays independent.
 #[allow(clippy::too_many_arguments)] // one slot per reused scratch buffer
@@ -669,8 +667,8 @@ impl Rfbme {
     }
 
     /// Runs RFBME from `key` to `new` on the fast path: best-first
-    /// branch-and-bound over the two-level hierarchy of admissible SAD
-    /// lower bounds (see the [module docs](self)).
+    /// branch-and-bound over an admissible SAD lower bound (see the
+    /// [module docs](self)).
     ///
     /// A pre-pass aggregates the whole-tile level-0 bound
     /// (`|Σ new_tile − Σ key_window|`, two O(1) [`IntegralImage`] window
@@ -681,13 +679,12 @@ impl Rfbme {
     /// likely to hold each field's true minimum, so the running minima
     /// tighten almost immediately and level 0 alone rejects most of the
     /// remaining (offset, field) pairs from the stored aggregates — no
-    /// pixel or tile work at all. Survivors are re-bounded per tile with
-    /// the strictly tighter level-1 per-column-strip and per-row bounds
-    /// (O(stride) each, still no pixel reads), and only tiles of fields
-    /// that survive level 1 reach the exact chunked SAD kernels from
-    /// [`crate::sad`].
+    /// pixel or tile work at all. A surviving field is refined by row
+    /// sweeps ([`sad_tile_sweep`]) over the valid tiles of the tile rows it
+    /// covers — each tile row at most once per offset — and sums its own
+    /// tiles.
     ///
-    /// Because every bound is a true lower bound, skipping is *exact*: the
+    /// Because the bound is a true lower bound, skipping is *exact*: the
     /// returned per-field minimum error equals the exhaustive search's
     /// (and therefore so do `errors`, `total_error`, and `total_pixels`).
     /// The min-check register keeps the lexicographic minimum of
@@ -738,9 +735,6 @@ impl Rfbme {
             order,
             key_box,
             best_bf,
-            l1,
-            l1_stamp,
-            exact_stamp,
             ..
         } = scratch;
         let (g, mut producer_ops) = prepare_search(
@@ -791,12 +785,6 @@ impl Rfbme {
         best_bf.resize(n_rf, BestCell::EMPTY);
         lb.resize(n_tiles, 0);
         exact.resize(n_tiles, 0);
-        l1.resize(n_tiles, 0);
-        // Stamps must start below every serial used this estimate.
-        l1_stamp.clear();
-        l1_stamp.resize(n_tiles, 0);
-        exact_stamp.clear();
-        exact_stamp.resize(n_tiles, 0);
         colsum.resize(tiles_x, 0);
 
         // Box-filter the key frame once: every s×s key window sum any
@@ -850,9 +838,9 @@ impl Rfbme {
         // Pass 2, best-first: per offset, rebuild the level-0 tile bounds
         // (one box load each), reject whole offsets whose *minimum* tile
         // bound already exceeds every field's running minimum, aggregate
-        // the rest per receptive field (rolling column reuse), re-bound
-        // survivors at level 1 (cached per offset via stamps, shared by
-        // overlapping fields), and run exact SADs only on what remains.
+        // the rest per receptive field (rolling column reuse), and refine
+        // the survivors exactly from row sweeps of the valid tiles, each
+        // tile row swept at most once per offset.
         // The smallest tile footprint of any (nonempty) receptive field —
         // every field's level-0 bound sums at least this many tile bounds,
         // which strengthens the offset-level quick reject below.
@@ -870,8 +858,7 @@ impl Rfbme {
             .unwrap_or(1) as u64;
         let min_rf_tiles = min_band_h * min_band_w;
         let mut max_best = u64::MAX; // max running minimum over live fields
-        for (serial, &oi) in order.iter().enumerate() {
-            let serial = serial as u32 + 1;
+        for &oi in order.iter() {
             let c = cand[oi as usize];
             let (ty_lo, ty_hi) = valid_tile_range(tiles_y, s, c.dy, h);
             let (tx_lo, tx_hi) = valid_tile_range(tiles_x, s, c.dx, w);
@@ -910,6 +897,8 @@ impl Rfbme {
                 }
             }
             consumer_ops += ((ty_hi - ty_lo) * (tx_hi - tx_lo)) as u64;
+            // Tile rows `..swept_end` needed so far have been swept.
+            let mut swept_end = ty_lo;
             let mut updated = false;
             for (ay, &(ty0, ty1)) in row_range.iter().enumerate() {
                 if ty0 >= ty1 || ty0 < ty_lo || ty1 > ty_hi {
@@ -949,44 +938,21 @@ impl Rfbme {
                         search.rejected_level0 += 1;
                         continue;
                     }
-                    // Level 1: tighter per-tile bounds, computed at most
-                    // once per (tile, offset).
-                    let mut l1_sum = 0u64;
-                    for ty in ty0..ty1 {
-                        for tx in tx0..tx1 {
-                            let t = ty * tiles_x + tx;
-                            if l1_stamp[t] != serial {
-                                l1_stamp[t] = serial;
-                                let na = (ty * s, tx * s);
-                                let ka = (
-                                    ((ty * s) as isize + c.dy) as usize,
-                                    ((tx * s) as isize + c.dx) as usize,
-                                );
-                                let cols = sad_lower_bound_cols(new_sat, key_sat, na, ka, s, s);
-                                let rows = sad_lower_bound_rows(new_sat, key_sat, na, ka, s, s);
-                                l1[t] = cols.max(rows);
-                                consumer_ops += 2 * s as u64;
-                            }
-                            l1_sum += l1[t];
-                        }
+                    // Exact refinement: a row sweep computes the SAD of every
+                    // valid tile in the tile rows this field covers, shared
+                    // by all survivors at this offset. Bands move down
+                    // monotonically, so each tile row is swept at most once.
+                    if swept_end < ty1 {
+                        let first = swept_end.max(ty0);
+                        let rect = (first..ty1, tx_lo..tx_hi);
+                        sad_tile_sweep(new, key, s, rect, (c.dy, c.dx), exact);
+                        producer_ops += ((ty1 - first) * (tx_hi - tx_lo) * s * s) as u64;
+                        swept_end = ty1;
                     }
-                    if !b.improvable_by(l1_sum, c.mag, c.rm) {
-                        search.rejected_level1 += 1;
-                        continue;
-                    }
-                    // Exact refinement (also cached per (tile, offset)).
                     let mut sum = 0u64;
                     for ty in ty0..ty1 {
-                        for tx in tx0..tx1 {
-                            let t = ty * tiles_x + tx;
-                            if exact_stamp[t] != serial {
-                                exact_stamp[t] = serial;
-                                let ky = ((ty * s) as isize + c.dy) as usize;
-                                let kx = ((tx * s) as isize + c.dx) as usize;
-                                exact[t] = sad_window(new, key, (ty * s, tx * s), (ky, kx), s, s);
-                                producer_ops += s2 as u64;
-                            }
-                            sum += exact[t] as u64;
+                        for &e in &exact[ty * tiles_x + tx0..ty * tiles_x + tx1] {
+                            sum += e as u64;
                         }
                     }
                     let n = ((ty1 - ty0) * (tx1 - tx0)) as u64;
@@ -1046,13 +1012,12 @@ impl Rfbme {
     /// The bound charges every pruning opportunity as if it never fired,
     /// so it holds for *any* frame contents:
     ///
-    /// * producer: two summed-area rebuilds (`2·h·w`) plus one exact
-    ///   `s²`-pixel SAD per (tile, offset) — the exact-refinement cache
-    ///   admits at most one per offset serial;
+    /// * producer: two summed-area rebuilds (`2·h·w`) plus, per offset,
+    ///   row sweeps that visit each valid tile at most once
+    ///   (`≤ n_tiles·s²` pixels);
     /// * consumer: the `(h−s+1)·(w−s+1) ≤ h·w` key box filter, then per
     ///   offset: pass-1 scoring and the level-0 rebuild (`≤ n_tiles`
-    ///   each), the level-1 strip bounds (`2·s` per tile, cached once per
-    ///   offset), per-row-band column sums (`≤ grid_h·band·tiles_x`), and
+    ///   each), per-row-band column sums (`≤ grid_h·band·tiles_x`), and
     ///   per-field aggregation (`≤ n_rf·band` column adds plus
     ///   `≤ n_rf·band²` exact-tile adds), where `band = ⌊size/stride⌋` is
     ///   the most whole tiles one receptive field can cover per axis.
@@ -1072,7 +1037,6 @@ impl Rfbme {
         let per_offset = n_tiles
             .saturating_mul(s * s)
             .saturating_add(2 * n_tiles)
-            .saturating_add(2 * s * n_tiles)
             .saturating_add(grid_h.saturating_mul(band).saturating_mul(tiles_x))
             .saturating_add(n_rf.saturating_mul(band))
             .saturating_add(n_rf.saturating_mul(band * band));
@@ -1084,7 +1048,7 @@ impl Rfbme {
     /// motion-scratch term of the serving engine's per-session memory
     /// bound.
     ///
-    /// Every buffer the two-level search touches is sized exactly by the
+    /// Every buffer the best-first search touches is sized exactly by the
     /// geometry (`resize`/`extend` from a known length allocates precisely
     /// that), except `cand`, which is push-grown and therefore rounds up
     /// to the next power of two. Buffers only the retained single-level
@@ -1113,8 +1077,6 @@ impl Rfbme {
             + n_rf * size_of::<RfMatch>() // best
             + n_tiles * size_of::<u64>() // lb
             + n_tiles * size_of::<u32>() // exact
-            + n_tiles * size_of::<u64>() // l1
-            + 2 * n_tiles * size_of::<u32>() // l1_stamp + exact_stamp
             + tiles_x * size_of::<u64>() // colsum
             + npot(window) * size_of::<Cand>() // cand (push-grown)
             + window * size_of::<u32>() // order
@@ -1805,10 +1767,10 @@ mod tests {
                 },
             ] {
                 let rfbme = Rfbme::new(rf, SearchParams { radius: 6, step: 1 });
-                let two = rfbme.estimate(&key, &new);
+                let fast = rfbme.estimate(&key, &new);
                 let one = rfbme.estimate_onelevel(&key, &new);
                 let reference = rfbme.estimate_reference(&key, &new);
-                assert_same_result(&two, &reference, &format!("two-level ({dy},{dx})"));
+                assert_same_result(&fast, &reference, &format!("best-first ({dy},{dx})"));
                 assert_same_result(&one, &reference, &format!("one-level ({dy},{dx})"));
             }
         }
@@ -1827,14 +1789,16 @@ mod tests {
             s.rejected_level0 + s.rejected_level1 + s.refined,
             "counters must partition the candidates: {s:?}"
         );
-        // The one-level baseline refines strictly more (level 1 only ever
-        // removes refinements) and never rejects at level 1.
+        // Neither search has a second bound tier. The one-level baseline
+        // refines at least as much: its ascending-magnitude order tightens
+        // the running minima later than the best-first order does.
+        assert_eq!(s.rejected_level1, 0);
         let one = rfbme.estimate_onelevel(&key, &new).search;
         assert_eq!(one.rejected_level1, 0);
         assert_eq!(one.candidates, s.candidates, "same valid pairs");
         assert!(
             s.refined <= one.refined,
-            "two-level refined {} > one-level {}",
+            "best-first refined {} > one-level {}",
             s.refined,
             one.refined
         );
@@ -1846,8 +1810,8 @@ mod tests {
     #[test]
     fn two_level_pruning_rejects_most_candidates_on_small_motion() {
         // The steady-state serving case: small inter-frame motion. After
-        // the best-first order lands on the true offset, bounds must reject
-        // the overwhelming majority of the remaining candidates before SAD.
+        // the best-first order lands on the true offset, the level-0 bound
+        // must reject most of the remaining candidates before any SAD.
         let key = textured(48, 48);
         let new = key.translate(1, 1, 7);
         let rfbme = Rfbme::new(
@@ -1859,14 +1823,15 @@ mod tests {
             SearchParams { radius: 8, step: 1 },
         );
         let s = rfbme.estimate(&key, &new).search;
-        assert!(
-            s.refined * 5 < s.candidates,
-            "expected >80% pruning, got {} refined of {}",
-            s.refined,
-            s.candidates
-        );
-        // And level 1 must actually contribute beyond level 0.
-        assert!(s.rejected_level1 > 0, "level-1 bound never fired: {s:?}");
+        // Exact counts, pinned when the level-1 tier (per-row and
+        // per-column-strip bounds) was removed: level 0 and the visit order
+        // did not change, so neither may its reject count; every candidate
+        // that used to reach level 1 (941 rejected there, 638 refined) is
+        // now refined.
+        assert_eq!(s.candidates, 4761, "{s:?}");
+        assert_eq!(s.rejected_level0, 3182, "{s:?}");
+        assert_eq!(s.refined, 941 + 638, "{s:?}");
+        assert_eq!(s.rejected_level1, 0, "{s:?}");
     }
 
     #[test]

@@ -7,29 +7,23 @@
 //! the compiler can keep the accumulation in vector registers (with
 //! `target-cpu=native` this lowers to `psadbw`-class code on x86-64).
 //!
-//! [`IntegralImage`] provides O(1) window sums, which the fast RFBME path
-//! ([`crate::rfbme::Rfbme::estimate`]) uses to derive *lower bounds* on tile
-//! SADs. The bounds form a hierarchy, all instances of one inequality: for
-//! any partition of a window into bands, the triangle inequality gives
-//!
-//! ```text
-//! Σ_bands |Σ new_band − Σ key_band|  ≤  SAD(new, key)
-//! ```
-//!
-//! * **Level 0** ([`sad_lower_bound`]) uses the trivial one-band partition:
-//!   `|Σ new − Σ key| ≤ SAD`. One subtraction from two O(1) window sums.
-//! * **Level 1** ([`sad_lower_bound_rows`] / [`sad_lower_bound_cols`])
-//!   partitions the window into single-pixel-high rows (or single-pixel-wide
-//!   column strips). Each band sum is an O(1) summed-area-table band, so the
-//!   whole bound is O(h) (or O(w)) — and because splitting a partition can
-//!   only grow a sum of absolute values, every level-1 bound dominates the
-//!   level-0 bound while still never exceeding the true SAD.
-//!
-//! A candidate offset whose aggregated bound already exceeds a receptive
+//! [`IntegralImage`] provides O(1) window sums, from which the fast RFBME
+//! path ([`crate::rfbme::Rfbme::estimate`]) derives its one lower bound on
+//! tile SADs, [`sad_lower_bound`]: `|Σ new − Σ key| ≤ SAD(new, key)` by the
+//! triangle inequality, one subtraction from two O(1) window sums. A
+//! candidate offset whose aggregated bound already exceeds a receptive
 //! field's running-minimum error cannot win, so its SAD refinement is
-//! skipped entirely — the diff-tile early-exit, made hierarchical.
+//! skipped entirely — the diff-tile early exit.
+//!
+//! Candidates the bound cannot reject are refined exactly by
+//! [`sad_tile_sweep`], which computes the SADs of a whole rectangle of
+//! tiles at one offset in a single pass over contiguous pixel rows.
+//! Refining whole tile rows at once costs about what a finer (per-row or
+//! per-column band) bound per tile would, so no intermediate bound tier
+//! sits between the two.
 
 use eva2_tensor::GrayImage;
+use std::ops::Range;
 
 /// Sum of absolute differences between two equal-length byte rows.
 ///
@@ -140,23 +134,6 @@ impl IntegralImage {
         let (y1, x1) = (y + h, x + w);
         self.sat[y1 * s + x1] + self.sat[y * s + x] - self.sat[y * s + x1] - self.sat[y1 * s + x]
     }
-
-    /// Sum over rows `0..y` restricted to columns `x..x+w`. Consecutive `y`
-    /// values differ by exactly one row band, which is how the row-band
-    /// bound walks a window in O(h) lookups instead of O(h) window sums.
-    #[inline]
-    fn row_prefix(&self, y: usize, x: usize, w: usize) -> u64 {
-        let s = self.width + 1;
-        self.sat[y * s + x + w] - self.sat[y * s + x]
-    }
-
-    /// Sum over columns `0..x` restricted to rows `y..y+h` (the transposed
-    /// companion of [`IntegralImage::row_prefix`]).
-    #[inline]
-    fn col_prefix(&self, y: usize, h: usize, x: usize) -> u64 {
-        let s = self.width + 1;
-        self.sat[(y + h) * s + x] - self.sat[y * s + x]
-    }
 }
 
 /// Level-0 SAD lower bound: `|Σ new − Σ key|` over the two windows.
@@ -176,58 +153,74 @@ pub fn sad_lower_bound(
         .abs_diff(key_sat.window_sum(ky, kx, h, w))
 }
 
-/// Level-1 per-row SAD lower bound: `Σ_r |Σ new_row_r − Σ key_row_r|`.
-///
-/// The rows partition the window, so the bound is admissible (each term is
-/// ≤ that row's SAD) and dominates [`sad_lower_bound`] (splitting a sum
-/// into absolute parts can only grow it). Costs O(h): one summed-area band
-/// prefix per row boundary, no per-pixel work.
-#[inline]
-pub fn sad_lower_bound_rows(
-    new_sat: &IntegralImage,
-    key_sat: &IntegralImage,
-    (ny, nx): (usize, usize),
-    (ky, kx): (usize, usize),
-    h: usize,
-    w: usize,
-) -> u64 {
-    let mut acc = 0u64;
-    let mut pn = new_sat.row_prefix(ny, nx, w);
-    let mut pk = key_sat.row_prefix(ky, kx, w);
-    for r in 1..=h {
-        let cn = new_sat.row_prefix(ny + r, nx, w);
-        let ck = key_sat.row_prefix(ky + r, kx, w);
-        acc += (cn - pn).abs_diff(ck - pk);
-        pn = cn;
-        pk = ck;
-    }
-    acc
-}
+/// Widest run of columns [`sad_tile_sweep`] accumulates at once.
+const SWEEP_BLOCK: usize = 64;
 
-/// Level-1 per-column-strip SAD lower bound:
-/// `Σ_c |Σ new_col_c − Σ key_col_c|` — [`sad_lower_bound_rows`] transposed,
-/// O(w). Its band prefixes walk one summed-area row contiguously, so it is
-/// the cheaper of the two level-1 bounds and is evaluated first.
-#[inline]
-pub fn sad_lower_bound_cols(
-    new_sat: &IntegralImage,
-    key_sat: &IntegralImage,
-    (ny, nx): (usize, usize),
-    (ky, kx): (usize, usize),
-    h: usize,
-    w: usize,
-) -> u64 {
-    let mut acc = 0u64;
-    let mut pn = new_sat.col_prefix(ny, h, nx);
-    let mut pk = key_sat.col_prefix(ky, h, kx);
-    for c in 1..=w {
-        let cn = new_sat.col_prefix(ny, h, nx + c);
-        let ck = key_sat.col_prefix(ky, h, kx + c);
-        acc += (cn - pn).abs_diff(ck - pk);
-        pn = cn;
-        pk = ck;
+/// Exact SADs of every `s × s` tile in the tile rectangle `rows × cols` of
+/// `new` against the key-frame window displaced by `(dy, dx)`, written to
+/// `out[ty * tiles_x + tx]` with `tiles_x = new.width() / s`.
+///
+/// One pass over contiguous pixel rows per tile row: the absolute
+/// differences of the new-frame span `cols.start·s .. cols.end·s` and the
+/// equally long displaced key-frame span are summed per column over the
+/// tile row's `s` pixel rows, in blocks of whole tiles at most
+/// `SWEEP_BLOCK` columns wide, and each `s`-wide chunk of column sums is
+/// one tile's SAD. Those are the pixels [`sad_window`] sums, so the results
+/// are equal; tiles wider than a block take [`sad_window`] itself.
+///
+/// Every displaced window must lie inside the key frame (the RFBME search
+/// clips the rectangle to the offset's valid tile range), and `key` must be
+/// as wide as `new`.
+pub fn sad_tile_sweep(
+    new: &GrayImage,
+    key: &GrayImage,
+    s: usize,
+    (rows, cols): (Range<usize>, Range<usize>),
+    (dy, dx): (isize, isize),
+    out: &mut [u32],
+) {
+    debug_assert_eq!(new.width(), key.width(), "sad_tile_sweep width mismatch");
+    if s == 0 || cols.is_empty() {
+        return;
     }
-    acc
+    let w = new.width();
+    let tiles_x = w / s;
+    if s > SWEEP_BLOCK {
+        for ty in rows {
+            for tx in cols.clone() {
+                let k = (
+                    ((ty * s) as isize + dy) as usize,
+                    ((tx * s) as isize + dx) as usize,
+                );
+                out[ty * tiles_x + tx] = sad_window(new, key, (ty * s, tx * s), k, s, s);
+            }
+        }
+        return;
+    }
+    let (nd, kd) = (new.as_slice(), key.as_slice());
+    // A column sums at most s ≤ SWEEP_BLOCK differences of at most 255,
+    // so u16 cannot overflow.
+    let block = SWEEP_BLOCK / s * s;
+    let mut col_sums = [0u16; SWEEP_BLOCK];
+    for ty in rows {
+        for bx in (cols.start * s..cols.end * s).step_by(block) {
+            let width = block.min(cols.end * s - bx);
+            let acc = &mut col_sums[..width];
+            acc.fill(0);
+            for ny in ty * s..(ty + 1) * s {
+                let no = ny * w + bx;
+                let ko = (ny as isize + dy) as usize * w + (bx as isize + dx) as usize;
+                let pixels = nd[no..no + width].iter().zip(&kd[ko..ko + width]);
+                for (c, (&a, &b)) in acc.iter_mut().zip(pixels) {
+                    *c += u16::from(a.abs_diff(b));
+                }
+            }
+            let t0 = ty * tiles_x + bx / s;
+            for (t, chunk) in out[t0..t0 + width / s].iter_mut().zip(acc.chunks_exact(s)) {
+                *t = chunk.iter().map(|&v| u32::from(v)).sum();
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -327,43 +320,34 @@ mod tests {
     }
 
     #[test]
-    fn level1_bounds_dominate_level0_and_stay_admissible() {
-        // The bound hierarchy on every window shape, including ragged ones:
-        //   level-0 ≤ level-1 (rows/cols) ≤ true SAD.
-        let new = textured(20, 17);
-        let key = textured(20, 17).translate(1, 2, 63);
-        let sat_new = IntegralImage::new(&new);
-        let sat_key = IntegralImage::new(&key);
-        for &(na, ka, h, w) in &[
-            ((0usize, 0usize), (0usize, 0usize), 8usize, 8usize),
-            ((3, 5), (1, 2), 7, 5),
-            ((10, 7), (12, 9), 1, 4),
-            ((0, 0), (11, 8), 9, 1),
-            ((5, 5), (5, 5), 3, 3),
-        ] {
-            let l0 = sad_lower_bound(&sat_new, &sat_key, na, ka, h, w);
-            let rows = sad_lower_bound_rows(&sat_new, &sat_key, na, ka, h, w);
-            let cols = sad_lower_bound_cols(&sat_new, &sat_key, na, ka, h, w);
-            let sad = sad_window(&new, &key, na, ka, h, w) as u64;
-            assert!(l0 <= rows && l0 <= cols, "level-1 must dominate level-0");
-            assert!(rows <= sad, "rows bound {rows} > sad {sad}");
-            assert!(cols <= sad, "cols bound {cols} > sad {sad}");
+    fn tile_sweep_handles_multi_block_rows_and_wide_tiles() {
+        // Rows wider than one accumulation block (s = 3 over 130 columns)
+        // and tiles wider than a block (s = 72) must still equal
+        // sad_window tile by tile.
+        let new = textured(150, 160);
+        let key = textured(150, 160).translate(-2, 3, 80);
+        for (s, (dy, dx)) in [(3usize, (2isize, -3isize)), (72, (1, -2))] {
+            let tiles_x = 160 / s;
+            let (rows, cols) = (1..150 / s - 1, 1..tiles_x - 1);
+            let mut out = vec![0u32; (150 / s) * tiles_x];
+            sad_tile_sweep(
+                &new,
+                &key,
+                s,
+                (rows.clone(), cols.clone()),
+                (dy, dx),
+                &mut out,
+            );
+            for ty in rows {
+                for tx in cols.clone() {
+                    let k = (
+                        ((ty * s) as isize + dy) as usize,
+                        ((tx * s) as isize + dx) as usize,
+                    );
+                    let want = sad_window(&new, &key, (ty * s, tx * s), k, s, s);
+                    assert_eq!(out[ty * tiles_x + tx], want, "s {s} tile ({ty},{tx})");
+                }
+            }
         }
-    }
-
-    #[test]
-    fn level1_row_bound_exact_on_row_disjoint_difference() {
-        // A frame pair differing by a constant per row: each row's |Δ| is
-        // the row's exact SAD, so the per-row bound must be tight while
-        // level-0 may cancel across rows.
-        let key = GrayImage::filled(8, 8, 100);
-        let new = GrayImage::from_fn(8, 8, |y, _| if y % 2 == 0 { 110 } else { 90 });
-        let sat_new = IntegralImage::new(&new);
-        let sat_key = IntegralImage::new(&key);
-        let sad = sad_window(&new, &key, (0, 0), (0, 0), 8, 8) as u64;
-        let rows = sad_lower_bound_rows(&sat_new, &sat_key, (0, 0), (0, 0), 8, 8);
-        let l0 = sad_lower_bound(&sat_new, &sat_key, (0, 0), (0, 0), 8, 8);
-        assert_eq!(rows, sad, "row bound is exact here");
-        assert_eq!(l0, 0, "whole-window sums cancel");
     }
 }

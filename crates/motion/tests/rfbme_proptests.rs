@@ -1,16 +1,15 @@
-//! Property tests for the RFBME fast path: the two-level best-first search
-//! must return, for every receptive field, a motion vector whose SAD *cost*
+//! Property tests for the RFBME fast path: the best-first search must
+//! return, for every receptive field, a motion vector whose SAD *cost*
 //! equals the exhaustive search's minimum — and, against the in-tree
 //! reference model, the exact same *vectors* (the lexicographic
-//! `(error, |offset|², row-major index)` tie-break contract). The level-1
-//! bounds must be admissible (≤ the true SAD) on every window geometry,
-//! including ragged ones.
+//! `(error, |offset|², row-major index)` tie-break contract). The per-offset
+//! row sweep that refines survivors must equal `sad_window` on every tile,
+//! for any stride and ragged frame size.
 
-use eva2_motion::rfbme::{RfGeometry, Rfbme, RfbmeResult, SearchParams};
-use eva2_motion::sad::{
-    sad_lower_bound, sad_lower_bound_cols, sad_lower_bound_rows, sad_window, IntegralImage,
-};
+use eva2_motion::rfbme::{RfGeometry, Rfbme, RfbmeResult, RfbmeScratch, SearchParams};
+use eva2_motion::sad::{sad_tile_sweep, sad_window};
 use eva2_tensor::GrayImage;
+use eva2_video::load::{LoadConfig, LoadGenerator};
 use proptest::prelude::*;
 
 /// Tile index range `[t0, t1)` of whole tiles covered by receptive field
@@ -208,39 +207,62 @@ proptest! {
     }
 
     #[test]
-    fn level1_bounds_admissible_on_every_window_geometry(
-        key in frame_strategy(21, 19),
-        noise_seed in 0u64..1000,
-        ny in 0usize..10,
-        nx in 0usize..9,
-        ky in 0usize..10,
-        kx in 0usize..9,
-        h in 1usize..=11,
-        w in 1usize..=10,
+    fn tile_sweep_equals_sad_window_on_every_tile(
+        seed in 0u64..1_000_000,
+        h in 9usize..=31,
+        w in 9usize..=31,
+        stride_pick in 0usize..3,
+        radius in 1usize..=9,
+        step in 1usize..=3,
+        oy in 0usize..64,
+        ox in 0usize..64,
     ) {
-        // Arbitrary (including ragged, non-square, 1-wide/1-high) windows:
-        // level-0 ≤ level-1 rows/cols ≤ true SAD, always.
-        let mut state = noise_seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        let mut new = key.clone();
-        for _ in 0..40 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let y = (state >> 33) as usize % 21;
-            let x = (state >> 13) as usize % 19;
-            new.set(y, x, (state >> 5) as u8);
+        // Ragged frames (sizes that are not multiples of the stride) and
+        // random search offsets, including step > 1 grids.
+        let s = [3usize, 4, 8][stride_pick];
+        let noise = |salt: u64| {
+            let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) ^ salt;
+            GrayImage::from_fn(h, w, |_, _| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33) as u8
+            })
+        };
+        let (key, new) = (noise(1), noise(2));
+        let axis = SearchParams { radius, step }.offsets();
+        let (dy, dx) = (axis[oy % axis.len()], axis[ox % axis.len()]);
+        // Tiles whose displaced window stays inside the key frame, derived
+        // here independently of the library's per-axis range helper.
+        let valid = |tiles: usize, d: isize, n: usize| -> Vec<usize> {
+            (0..tiles)
+                .filter(|&t| {
+                    let o = (t * s) as isize + d;
+                    o >= 0 && o + s as isize <= n as isize
+                })
+                .collect()
+        };
+        let (tiles_y, tiles_x) = (h / s, w / s);
+        let (rows, cols) = (valid(tiles_y, dy, h), valid(tiles_x, dx, w));
+        prop_assume!(!rows.is_empty() && !cols.is_empty());
+        let rows = rows[0]..rows[rows.len() - 1] + 1;
+        let cols = cols[0]..cols[cols.len() - 1] + 1;
+        let mut out = vec![u32::MAX; tiles_y * tiles_x];
+        let rect = (rows.clone(), cols.clone());
+        sad_tile_sweep(&new, &key, s, rect, (dy, dx), &mut out);
+        for ty in 0..tiles_y {
+            for tx in 0..tiles_x {
+                let got = out[ty * tiles_x + tx];
+                if rows.contains(&ty) && cols.contains(&tx) {
+                    let k = (
+                        ((ty * s) as isize + dy) as usize,
+                        ((tx * s) as isize + dx) as usize,
+                    );
+                    let want = sad_window(&new, &key, (ty * s, tx * s), k, s, s);
+                    prop_assert_eq!(got, want, "s {} offset ({},{}) tile ({},{})", s, dy, dx, ty, tx);
+                } else {
+                    prop_assert_eq!(got, u32::MAX, "tile ({},{}) outside the rectangle", ty, tx);
+                }
+            }
         }
-        let sat_new = IntegralImage::new(&new);
-        let sat_key = IntegralImage::new(&key);
-        let na = (ny, nx);
-        let ka = (ky, kx);
-        prop_assume!(ny + h <= 21 && ky + h <= 21 && nx + w <= 19 && kx + w <= 19);
-        let l0 = sad_lower_bound(&sat_new, &sat_key, na, ka, h, w);
-        let rows = sad_lower_bound_rows(&sat_new, &sat_key, na, ka, h, w);
-        let cols = sad_lower_bound_cols(&sat_new, &sat_key, na, ka, h, w);
-        let sad = sad_window(&new, &key, na, ka, h, w) as u64;
-        prop_assert!(l0 <= rows, "rows bound must dominate level 0");
-        prop_assert!(l0 <= cols, "cols bound must dominate level 0");
-        prop_assert!(rows <= sad, "rows bound {} > sad {}", rows, sad);
-        prop_assert!(cols <= sad, "cols bound {} > sad {}", cols, sad);
     }
 
     #[test]
@@ -339,4 +361,57 @@ fn panning_scene_recovers_translation_with_exhaustive_cost() {
             "pan {t}: only {hits}/{total} fields found ({expect})"
         );
     }
+}
+
+#[test]
+fn load_generator_scene_cuts_match_reference() {
+    // Consecutive frames of a scene-cut-heavy fleet (a cut every two frames
+    // at least): across a cut the frames are unrelated, so level 0 prunes
+    // poorly and most offsets reach the row sweep. One scratch is reused
+    // for every estimate, as a serving session does.
+    let mut config = LoadConfig::new(3, 48, 48).with_seed(7);
+    config.min_cut_gap = 2;
+    let mut load = LoadGenerator::new(config);
+    let mut prev: Vec<GrayImage> = load.tick().into_iter().map(|f| f.image).collect();
+    let geometries = [
+        RfGeometry {
+            size: 16,
+            stride: 8,
+            padding: 0,
+        },
+        RfGeometry {
+            size: 27,
+            stride: 8,
+            padding: 10,
+        },
+        RfGeometry {
+            size: 8,
+            stride: 4,
+            padding: 2,
+        },
+    ];
+    let mut scratch = RfbmeScratch::new();
+    let mut cuts = 0;
+    for tick in 1..10 {
+        for frame in load.tick() {
+            cuts += usize::from(frame.cut);
+            let key = &prev[frame.stream];
+            for (gi, &rf) in geometries.iter().enumerate() {
+                let step = 1 + (tick + gi) % 2;
+                let rfbme = Rfbme::new(rf, SearchParams { radius: 8, step });
+                let fast = rfbme.estimate_with(key, &frame.image, &mut scratch);
+                let reference = rfbme.estimate_reference(key, &frame.image);
+                let label = format!("tick {tick} stream {} rf {rf:?}", frame.stream);
+                assert_eq!(fast.field, reference.field, "{label}: vector fields differ");
+                assert_eq!(fast.errors, reference.errors, "{label}: errors differ");
+                assert_eq!(fast.total_error, reference.total_error, "{label}");
+                assert_eq!(fast.total_pixels, reference.total_pixels, "{label}");
+            }
+            prev[frame.stream] = frame.image;
+        }
+    }
+    assert!(
+        cuts >= 6,
+        "expected scene cuts across the pairs, saw {cuts}"
+    );
 }
